@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -191,12 +192,28 @@ func validateFleetFlags(machines, minutes, replication int, policy string) error
 	return nil
 }
 
-// progressLine returns an OnEvent hook that keeps one stderr line
-// updated while a big run computes. Output is throttled (~10 Hz) and
-// goes to stderr only, so stdout stays bit-identical across worker
-// counts; the line is erased once the last task folds.
+// progressLine returns an OnEvent hook that reports a big run's
+// progress on stderr. Output goes to stderr only, so stdout stays
+// bit-identical across worker counts.
 func progressLine(what string) func(engine.Event) {
+	return progressTo(os.Stderr, isTerminal(os.Stderr), what)
+}
+
+// isTerminal reports whether f is a character device — a terminal, as
+// far as the standard library can tell.
+func isTerminal(f *os.File) bool {
+	fi, err := f.Stat()
+	return err == nil && fi.Mode()&os.ModeCharDevice != 0
+}
+
+// progressTo is progressLine writing to w. On a terminal it keeps one
+// line updated (throttled to ~10 Hz) and erases it once the last task
+// folds. Anywhere else — a log file, a pipe — carriage-return frames
+// would pile up as one run-on line, so it prints one plain line each
+// time the run crosses another 10%.
+func progressTo(w io.Writer, tty bool, what string) func(engine.Event) {
 	var last time.Time
+	logged := 0 // tenths already reported on the non-terminal path
 	return func(ev engine.Event) {
 		if ev.Kind == engine.EventExperimentMerged {
 			return
@@ -205,15 +222,22 @@ func progressLine(what string) func(engine.Event) {
 		if total < 32 {
 			return // small runs finish before a line is worth drawing
 		}
+		if !tty {
+			if tenths := done * 10 / total; tenths > logged {
+				logged = tenths
+				fmt.Fprintf(w, "dgrid: %s %d/%d shards (%d%%)\n", what, done, total, tenths*10)
+			}
+			return
+		}
 		now := time.Now()
 		if done < total && now.Sub(last) < 100*time.Millisecond {
 			return
 		}
 		last = now
 		if done < total {
-			fmt.Fprintf(os.Stderr, "\rdgrid: %s %d/%d shards", what, done, total)
+			fmt.Fprintf(w, "\rdgrid: %s %d/%d shards", what, done, total)
 		} else {
-			fmt.Fprintf(os.Stderr, "\r%*s\r", len(what)+len("dgrid:  / shards")+14, "")
+			fmt.Fprintf(w, "\r%*s\r", len(what)+len("dgrid:  / shards")+14, "")
 		}
 	}
 }

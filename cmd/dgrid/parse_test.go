@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -238,5 +239,26 @@ func TestParseServeArgs(t *testing.T) {
 	}
 	if _, err := parseServeArgs([]string{"positional"}); err == nil {
 		t.Fatal("serve accepted positional arguments")
+	}
+}
+
+// TestServeHTTPServerTimeouts: the daemon bounds the header phase and
+// idle keep-alives, and leaves reads and writes unbounded so long SSE
+// streams survive.
+func TestServeHTTPServerTimeouts(t *testing.T) {
+	o, err := parseServeArgs([]string{"-addr", ":9001"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := http.NotFoundHandler()
+	srv := newHTTPServer(o.addr, h)
+	if srv.Addr != ":9001" || srv.Handler == nil {
+		t.Fatalf("server not wired to the parsed address and handler: %+v", srv)
+	}
+	if srv.ReadHeaderTimeout != 10*time.Second || srv.IdleTimeout != 120*time.Second {
+		t.Fatalf("timeouts: read-header %v, idle %v; want 10s, 2m0s", srv.ReadHeaderTimeout, srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("read %v / write %v timeouts would cut SSE streams", srv.ReadTimeout, srv.WriteTimeout)
 	}
 }

@@ -65,6 +65,25 @@ func parseServeArgs(args []string) (*serveOpts, error) {
 	}, nil
 }
 
+// The daemon's fixed connection timeouts. A request's body and
+// response are unbounded on purpose — an SSE stream lives as long as
+// its sweep — so only the slowloris-prone header phase and idle
+// keep-alive connections are bounded.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server on addr.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+}
+
 // cmdServe runs the sweep daemon: one shared worker pool, one shared
 // mem-tiered shard cache, and one single-flight group under an HTTP
 // surface, so many clients drive the simulator concurrently at ~1× the
@@ -102,7 +121,7 @@ func cmdServe(args []string) error {
 		Resume:  o.resume,
 		Log:     log,
 	}
-	srv := &http.Server{Addr: o.addr, Handler: s.Handler()}
+	srv := newHTTPServer(o.addr, s.Handler())
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

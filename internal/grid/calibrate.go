@@ -3,6 +3,7 @@ package grid
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"vmdg/internal/boinc"
 	"vmdg/internal/cost"
@@ -54,28 +55,52 @@ type calKey struct {
 	quick      bool
 }
 
-// calEntry delays the micro-simulation until first use and shares the
-// result across every shard in the process.
+// calEntry is one memoized calibration. The first goroutine to claim
+// it runs the micro-simulation; every other one waits on done.
 type calEntry struct {
-	once sync.Once
-	val  Calibration
-	err  error
+	claimed atomic.Bool
+	done    chan struct{}
+	val     Calibration
+	err     error
 }
 
-var calCache sync.Map // calKey -> *calEntry
+// calMemo memoizes calibrations by key, values and errors alike.
+// compute is calibrate outside tests.
+type calMemo struct {
+	m       sync.Map // calKey -> *calEntry
+	compute func(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick bool) (Calibration, error)
+}
 
-// calibrationFor returns the memoized calibration for (class, prof),
-// running the detailed micro-simulation on first use. The value is a
-// pure function of the key, so which goroutine computes it never
-// matters.
-func calibrationFor(class *Class, prof vmm.Profile, seed uint64, ckptEvery int, quick bool) (Calibration, error) {
-	k := calKey{class: class.Name, env: prof.Name, seed: seed, ckptEvery: ckptEvery, quick: quick}
-	e, _ := calCache.LoadOrStore(k, &calEntry{})
-	entry := e.(*calEntry)
-	entry.once.Do(func() {
-		entry.val, entry.err = calibrate(class, prof, seed, ckptEvery, quick)
-	})
-	return entry.val, entry.err
+// calCache shares calibrations across every shard in the process.
+var calCache = &calMemo{compute: calibrate}
+
+// resolve fills cals[ci] for every class index in order (the order a
+// shard first meets its classes) and returns the first error in that
+// order. It resolves claim-then-wait: first it runs every calibration
+// no other goroutine has claimed, then it waits for the rest. Workers
+// starting on the same environment thus compute its classes side by
+// side instead of queueing on one another. A calibration is a pure
+// function of its key, so which goroutine computes it never matters.
+func (c *calMemo) resolve(classes []Class, order []int, prof vmm.Profile, seed uint64, ckptEvery int, quick bool, cals []*Calibration) error {
+	entries := make([]*calEntry, len(order))
+	for j, ci := range order {
+		k := calKey{class: classes[ci].Name, env: prof.Name, seed: seed, ckptEvery: ckptEvery, quick: quick}
+		v, _ := c.m.LoadOrStore(k, &calEntry{done: make(chan struct{})})
+		e := v.(*calEntry)
+		entries[j] = e
+		if e.claimed.CompareAndSwap(false, true) {
+			e.val, e.err = c.compute(&classes[ci], prof, seed, ckptEvery, quick)
+			close(e.done)
+		}
+	}
+	for j, e := range entries {
+		<-e.done
+		if e.err != nil {
+			return e.err
+		}
+		cals[order[j]] = &e.val
+	}
+	return nil
 }
 
 // calibrate runs the full hw/hostos/vmm/boinc stack for one machine of

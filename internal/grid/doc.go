@@ -42,11 +42,12 @@
 //
 // When a volunteer powers a machine off mid-work-unit, the VM is
 // evicted: progress since the worker's last periodic checkpoint is
-// lost, and the surviving state is captured as a real
-// vmm.Checkpoint (Encode/Decode round-trip) whose payload is the
-// boinc.Progress file — exactly what a migration of the sandbox would
-// carry. When the owner returns, the host restores the checkpoint and
-// resumes the same unit.
+// lost, and the surviving progress is held in the host's slab at
+// whole-chunk granularity — the boinc.Progress a real checkpoint
+// would carry, without serializing it. When the owner returns, the
+// host resumes the same unit from it. The checkpoint codec itself
+// (vmm.Checkpoint carrying boinc.Progress) is covered by the vmm tests
+// and by the checkpoint ablation in EXPERIMENTS.md.
 //
 // # Checkpoint migration
 //

@@ -252,22 +252,43 @@ func testSlab(env *envShard, lo, n int, class Class) *hostSlab {
 	return sl
 }
 
+// TestHostCheckpointRoundTrip pins the held-checkpoint contract: a
+// power-off keeps the unit in the slab, and the next power-on resumes
+// it at whole-chunk progress and counts one restore.
 func TestHostCheckpointRoundTrip(t *testing.T) {
-	env := &envShard{prof: profByName(t, "vmplayer")}
-	sl := testSlab(env, 42, 1, Classes()[0])
-	sl.hasWork[0] = true
-	sl.wu[0] = boinc.WorkUnit{ID: "t-wu-000001", Seed: 9, Chunks: 1000, CheckpointEvery: 128}
-	sl.progress[0] = 700.5
-	sl.ckpt[0] = sl.encodeCheckpoint(0, 5*sim.Second)
-	sl.wu[0], sl.progress[0], sl.hasWork[0] = boinc.WorkUnit{}, 0, false
-	if err := sl.restoreCheckpoint(0); err != nil {
-		t.Fatal(err)
+	scn := Scenario{Machines: 1, Minutes: 1, Churn: true}.Normalize()
+	env := &envShard{
+		scn: scn, prof: profByName(t, "vmplayer"), sim: sim.New(),
+		stats: &EnvStats{},
 	}
-	if sl.wu[0].ID != "t-wu-000001" || !sl.hasWork[0] {
-		t.Fatalf("restore lost the unit: %+v", sl.wu[0])
+	sl := testSlab(env, 42, 1, Classes()[0])
+	sl.on[0], sl.hasWork[0] = true, true
+	sl.wu[0] = boinc.WorkUnit{ID: "t-wu-000001", Seed: 9, Chunks: 1000, CheckpointEvery: 1}
+	sl.progress[0] = 700.5
+	sl.accrued[0] = 5 * sim.Second
+	sl.powerOff(0, 5*sim.Second)
+	if !sl.held[0] {
+		t.Fatal("power-off did not hold the unit")
+	}
+	sl.powerOn(0, 6*sim.Second, true)
+	if sl.wu[0].ID != "t-wu-000001" || !sl.hasWork[0] || sl.held[0] {
+		t.Fatalf("restore lost the unit: %+v hasWork=%v held=%v", sl.wu[0], sl.hasWork[0], sl.held[0])
 	}
 	if sl.progress[0] != 700 {
-		t.Fatalf("restored progress %v, want 700 (int chunks)", sl.progress[0])
+		t.Fatalf("restored progress %v, want 700 (whole chunks)", sl.progress[0])
+	}
+	if env.stats.Restores != 1 {
+		t.Fatalf("Restores = %d, want 1", env.stats.Restores)
+	}
+
+	// The power-on truncation stands on its own: a held unit resumes at
+	// whole chunks whatever fraction the slab carries.
+	sl.on[0], sl.hasWork[0], sl.held[0] = false, false, true
+	sl.progress[0] = 511.75
+	sl.powerOn(0, 7*sim.Second, true)
+	if sl.progress[0] != 511 || !sl.hasWork[0] || env.stats.Restores != 2 {
+		t.Fatalf("held unit resumed at %v (hasWork=%v, Restores=%d), want 511, true, 2",
+			sl.progress[0], sl.hasWork[0], env.stats.Restores)
 	}
 }
 
@@ -289,7 +310,7 @@ func TestEvictionRollsBackToCheckpoint(t *testing.T) {
 	if env.stats.Evictions != 1 || env.stats.LostChunks != 51 {
 		t.Fatalf("eviction accounting wrong: %+v", env.stats)
 	}
-	if sl.ckpt[0] == nil {
+	if !sl.held[0] {
 		t.Fatal("no checkpoint survived the eviction")
 	}
 	sl.powerOn(0, 20*sim.Second, true)

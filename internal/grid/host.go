@@ -1,12 +1,6 @@
 package grid
 
-import (
-	"fmt"
-
-	"vmdg/internal/boinc"
-	"vmdg/internal/sim"
-	"vmdg/internal/vmm"
-)
+import "vmdg/internal/sim"
 
 // This file is the per-host state machine of the fleet simulator: a
 // coarse-grained volunteer machine over (powered, owner-active) whose
@@ -70,7 +64,7 @@ func (s *hostSlab) settle(i int32, now sim.Time) {
 				at = now // FromSeconds rounding must not move time forward
 			}
 			s.submit(i, at)
-			s.ckpt[i] = nil
+			s.held[i] = false
 			s.hasWork[i] = false
 			s.requestWork(i, at) // resets progress and sets accrued = at
 		}
@@ -174,7 +168,7 @@ func (s *hostSlab) complete(i int32, now sim.Time) {
 	s.completion[i] = sim.Handle{}
 	s.accrue(i, now)
 	s.submit(i, now)
-	s.ckpt[i] = nil
+	s.held[i] = false
 	s.hasWork[i] = false
 	if s.env.mig != nil {
 		s.migUnitDone(i)
@@ -199,11 +193,11 @@ func (s *hostSlab) requestWork(i int32, now sim.Time) {
 	s.accrued[i] = now
 }
 
-// powerOn boots the machine: restore the held checkpoint or fetch
-// fresh work, set the owner's presence, and — under churn — schedule
-// the session's end. ownerPresent is true when the owner just sat down
-// to switch the machine on (every mid-run power-on); the t=0 boot
-// passes a stationary draw instead, so short horizons do not measure a
+// powerOn boots the machine: resume the held unit or fetch fresh
+// work, set the owner's presence, and — under churn — schedule the
+// session's end. ownerPresent is true when the owner just sat down to
+// switch the machine on (every mid-run power-on); the t=0 boot passes
+// a stationary draw instead, so short horizons do not measure a
 // synchronized everyone-active start transient.
 func (s *hostSlab) powerOn(i int32, now sim.Time, ownerPresent bool) {
 	s.on[i] = true
@@ -213,12 +207,12 @@ func (s *hostSlab) powerOn(i int32, now sim.Time, ownerPresent bool) {
 		s.migReturn(i, now, m)
 	}
 	switch {
-	case s.ckpt[i] != nil:
-		if err := s.restoreCheckpoint(i); err != nil {
-			// A checkpoint this host encoded itself cannot fail to
-			// decode; treat corruption as a model bug.
-			panic(fmt.Sprintf("grid: %s: %v", hostID(s.gid(i)), err))
-		}
+	case s.held[i]:
+		// The worker resumes from its checkpoint, which records whole
+		// chunks only.
+		s.progress[i] = float64(int(s.progress[i]))
+		s.hasWork[i] = true
+		s.held[i] = false
 		s.env.stats.Restores++
 	case !s.hasWork[i]:
 		s.requestWork(i, now)
@@ -240,8 +234,10 @@ func (s *hostSlab) stationaryActive(i int32) bool {
 }
 
 // powerOff evicts the VM: progress since the worker's last periodic
-// checkpoint is lost, and the rest leaves the machine as an encoded
-// vmm.Checkpoint carrying the boinc progress file.
+// checkpoint is lost, and the rest stays in the slab, held for the
+// next power-on (or for migration). Nothing is serialized: the unit
+// and its progress never leave the host's own arrays, and migration
+// sizes are modeled from the profile (migFullBytes).
 func (s *hostSlab) powerOff(i int32, now sim.Time) {
 	s.accrue(i, now)
 	s.flushPhase(i, now)
@@ -261,53 +257,11 @@ func (s *hostSlab) powerOff(i int32, now sim.Time) {
 		s.env.stats.LostChunks += int64(s.progress[i] - kept)
 		s.progress[i] = kept
 	}
-	if s.hasWork[i] {
-		s.ckpt[i] = s.encodeCheckpoint(i, now)
-	}
+	s.held[i] = s.hasWork[i]
 	if m := s.env.mig; m != nil {
 		s.migDepart(i, now, m)
 	}
 	s.env.sim.Schedule(now+s.exp(i, s.class(i).MeanOffMin), "power-on", (*powerOnArm)(s.arm(i)))
-}
-
-// encodeCheckpoint captures host i's surviving state as a real VMM
-// checkpoint whose payload is the BOINC progress file.
-func (s *hostSlab) encodeCheckpoint(i int32, now sim.Time) []byte {
-	ck := &vmm.Checkpoint{
-		VMName:       hostID(s.gid(i)),
-		ProfileName:  s.prof().Name,
-		TakenAtHost:  now,
-		TakenAtGuest: now,
-		Payload: boinc.Progress{
-			WorkUnit:   s.wu[i],
-			ChunksDone: int(s.progress[i]),
-		}.Marshal(),
-	}
-	b, err := ck.Encode()
-	if err != nil {
-		panic(fmt.Sprintf("grid: %s: encoding checkpoint: %v", hostID(s.gid(i)), err)) // plain data cannot fail
-	}
-	return b
-}
-
-// restoreCheckpoint resumes the unit carried by the held checkpoint.
-func (s *hostSlab) restoreCheckpoint(i int32) error {
-	ck, err := vmm.DecodeCheckpoint(s.ckpt[i])
-	if err != nil {
-		return err
-	}
-	if ck.ProfileName != s.prof().Name {
-		return fmt.Errorf("checkpoint from profile %s restored under %s", ck.ProfileName, s.prof().Name)
-	}
-	prog, err := boinc.UnmarshalProgress(ck.Payload)
-	if err != nil {
-		return err
-	}
-	s.wu[i] = prog.WorkUnit
-	s.progress[i] = float64(prog.ChunksDone)
-	s.hasWork[i] = true
-	s.ckpt[i] = nil
-	return nil
 }
 
 // scheduleFlip arms the next owner active/idle transition.

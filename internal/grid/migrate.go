@@ -155,7 +155,7 @@ func (s *hostSlab) cancelXfer(i int32) {
 }
 
 // migDepart runs at power-off, after the eviction rollback has settled
-// progress and encoded the checkpoint: whatever transfer the session
+// progress and marked the unit held: whatever transfer the session
 // had in flight dies with it, and the scenario's policy decides whether
 // the checkpoint leaves the machine.
 func (s *hostSlab) migDepart(i int32, now sim.Time, m *migrator) {
@@ -172,7 +172,7 @@ func (s *hostSlab) migDepart(i int32, now sim.Time, m *migrator) {
 	}
 	ms.syncTimer.Cancel()
 	ms.syncTimer = sim.Handle{}
-	if !s.hasWork[i] || s.ckpt[i] == nil {
+	if !s.hasWork[i] || !s.held[i] {
 		return
 	}
 	kept := int(s.progress[i])
@@ -318,6 +318,6 @@ func (s *hostSlab) clearWork(i int32) {
 	s.wu[i] = boinc.WorkUnit{}
 	s.progress[i] = 0
 	s.hasWork[i] = false
-	s.ckpt[i] = nil
+	s.held[i] = false
 	s.mig[i].synced = syncState{}
 }

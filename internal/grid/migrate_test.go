@@ -72,7 +72,7 @@ func TestMigrationOnDepartureRoundTrip(t *testing.T) {
 	if len(env.mig.pending) != 1 {
 		t.Fatalf("queue holds %d checkpoints after the upload, want 1", len(env.mig.pending))
 	}
-	if sl.hasWork[src] || sl.ckpt[src] != nil {
+	if sl.hasWork[src] || sl.held[src] {
 		t.Fatal("departed host still owns the unit after the server took it")
 	}
 	if env.stats.MigTxBytes == 0 {
@@ -166,7 +166,7 @@ func TestMigrationEagerSyncThenInstantDeparture(t *testing.T) {
 	if mu := env.mig.pending[0]; mu.chunks != wantSnap || mu.wu.Seed != seed {
 		t.Fatalf("queued copy carries %d chunks of %d, want %d of %d", mu.chunks, mu.wu.Seed, wantSnap, seed)
 	}
-	if sl.hasWork[0] || sl.ckpt[0] != nil {
+	if sl.hasWork[0] || sl.held[0] {
 		t.Fatal("departed eager host kept its unit")
 	}
 	// Rollback loss plus staleness: everything past the synced snapshot.

@@ -162,24 +162,30 @@ func runEnvShard(scn Scenario, prof vmm.Profile, shard, lo, hi int) (*EnvStats, 
 		env.mig = newMigrator(env, s)
 	}
 
-	// Calibrations are resolved once per class actually present in the
-	// shard; every host of the class shares the same read-only pointer.
-	every := boinc.CheckpointCadence(scn.ChunksPerUnit)
-
 	slab := &arena.slab
 	slab.reset(env, lo, hi-lo, classes, migrates)
+
+	// Calibrations are resolved once per class actually present in the
+	// shard, in first-met order; every host of the class shares the
+	// same read-only pointer.
+	seen := make([]bool, len(classes))
+	order := make([]int, 0, len(classes))
+	for g := lo; g < hi; g++ {
+		ci := classIndexFor(classes, scn.Seed, g)
+		slab.classIdx[g-lo] = uint8(ci)
+		if !seen[ci] {
+			seen[ci] = true
+			order = append(order, ci)
+		}
+	}
+	every := boinc.CheckpointCadence(scn.ChunksPerUnit)
+	if err := calCache.resolve(classes, order, prof, scn.Seed, every, scn.Quick, slab.cals); err != nil {
+		return nil, err
+	}
+
 	for g := lo; g < hi; g++ {
 		i := int32(g - lo)
-		ci := classIndexFor(classes, scn.Seed, g)
-		class := &classes[ci]
-		if slab.cals[ci] == nil {
-			cal, err := calibrationFor(class, prof, scn.Seed, every, scn.Quick)
-			if err != nil {
-				return nil, err
-			}
-			slab.cals[ci] = &cal
-		}
-		slab.classIdx[i] = uint8(ci)
+		class := &classes[slab.classIdx[i]]
 		slab.ownerRNG[i] = *sim.NewRNG(hostSeed(scn.Seed, g))
 		slab.envRNG[i] = *sim.NewRNG(envSeed(scn.Seed, prof.Name, g))
 		slab.faulty[i] = slab.ownerRNG[i].Float64() < scn.FaultyFrac

@@ -14,11 +14,10 @@ import (
 // host's slice-local index. The event loop of a shard walks a handful
 // of hot arrays (flags, progress, accrual clocks, RNG states) that pack
 // tens of hosts per cache line, instead of striding over ~300-byte host
-// records whose cold tail (checkpoint blobs, migration state) evicts
-// the hot fields. A host has no identity object at all anymore — its
-// global index is s.lo + i, and the "h%06d" name is formatted only at
-// the rare points that need a string (checkpoint encoding, the quorum
-// policy's project ledger).
+// records whose cold tail (migration state) evicts the hot fields. A
+// host has no identity object at all anymore — its global index is
+// s.lo + i, and the "h%06d" name is formatted only at the rare points
+// that need a string (the quorum policy's project ledger).
 //
 // The slab also eliminates the last per-shard allocations: its arrays
 // (and the simulator they feed) live in a per-worker arena (see
@@ -46,7 +45,9 @@ type hostSlab struct {
 	wu            []boinc.WorkUnit
 	completion    []sim.Handle
 	flip          []sim.Handle
-	ckpt          [][]byte
+	// held marks a powered-off host whose unit survives in wu/progress
+	// as its worker's last checkpoint, to resume on the next power-on.
+	held []bool
 
 	// arms gives every host one stable address the closure-free event
 	// arms alias (see armCell); scheduling any of a host's event kinds
@@ -131,7 +132,7 @@ func (s *hostSlab) reset(env *envShard, lo, n int, classes []Class, migrates boo
 	s.wu = resize(s.wu, n)
 	s.completion = resize(s.completion, n)
 	s.flip = resize(s.flip, n)
-	s.ckpt = resize(s.ckpt, n)
+	s.held = resize(s.held, n)
 	s.arms = resize(s.arms, n)
 	for i := range s.arms {
 		s.arms[i] = armCell{s: s, i: int32(i)}
@@ -146,12 +147,11 @@ func (s *hostSlab) reset(env *envShard, lo, n int, classes []Class, migrates boo
 }
 
 // scrub drops the pointer-bearing state a recycled slab must not
-// retain: checkpoint blobs, transfer pointers, and the shard
+// retain: work-unit IDs, transfer pointers, calibrations and the shard
 // environment. Scalar arrays keep their (stale) contents — reset zeroes
 // them on the next acquire.
 func (s *hostSlab) scrub() {
 	s.env = nil
-	clear(s.ckpt)
 	clear(s.wu)
 	clear(s.mig)
 	clear(s.cals)

@@ -20,7 +20,7 @@ const zeroStepLimit = 1 << 20
 
 type coreState struct {
 	t     *Thread
-	event *sim.Event // pending step-done-or-quantum event
+	event sim.Handle // pending step-done-or-quantum event
 	// parked holds a thread displaced by a hinted preemption: the
 	// preemptor borrows this core's slot and the parked thread resumes
 	// here as soon as the core frees, without re-entering the ready
@@ -35,12 +35,27 @@ type OS struct {
 	Quantum sim.Time
 
 	cores []coreState
+	// arms gives every core a stable closure-free event target, so
+	// (re)arming a core's event allocates nothing.
+	arms  []coreArm
 	ready [numPrio][]*Thread
 	procs []*Process
 
 	idleTime []sim.Time // per-core idle accumulation
 	lastIdle []sim.Time // per-core: when the core last became idle
+
+	// shares and rates are refreshAll's scratch, one entry per core.
+	shares, rates []float64
 }
+
+// coreArm is the pooled-event target of one core's step-done-or-quantum
+// event.
+type coreArm struct {
+	o    *OS
+	core int
+}
+
+func (a *coreArm) Fire(sim.Time) { a.o.coreEvent(a.core) }
 
 // Boot creates the OS for machine m.
 func Boot(m *hw.Machine) *OS {
@@ -49,8 +64,14 @@ func Boot(m *hw.Machine) *OS {
 		Sim:      m.Sim,
 		Quantum:  DefaultQuantum,
 		cores:    make([]coreState, m.CPU.Cores),
+		arms:     make([]coreArm, m.CPU.Cores),
 		idleTime: make([]sim.Time, m.CPU.Cores),
 		lastIdle: make([]sim.Time, m.CPU.Cores),
+		shares:   make([]float64, m.CPU.Cores),
+		rates:    make([]float64, m.CPU.Cores),
+	}
+	for i := range o.arms {
+		o.arms[i] = coreArm{o: o, core: i}
 	}
 	return o
 }
@@ -149,7 +170,7 @@ func (o *OS) settleAll() {
 
 func (o *OS) refreshAll() {
 	now := o.Sim.Now()
-	shares := make([]float64, len(o.cores))
+	shares := o.shares
 	for i := range o.cores {
 		if t := o.cores[i].t; t != nil {
 			shares[i] = t.mix.Mem
@@ -157,13 +178,12 @@ func (o *OS) refreshAll() {
 			shares[i] = -1
 		}
 	}
-	rates := o.M.CPU.Rates(shares)
+	rates := o.rates
+	o.M.CPU.RatesInto(rates, shares)
 	for i := range o.cores {
 		c := &o.cores[i]
-		if c.event != nil {
-			c.event.Cancel()
-			c.event = nil
-		}
+		c.event.Cancel()
+		c.event = sim.Handle{}
 		t := c.t
 		if t == nil {
 			continue
@@ -182,8 +202,7 @@ func (o *OS) refreshAll() {
 			wake = t.sliceEnd
 			label = "quantum"
 		}
-		core := i
-		c.event = o.Sim.At(wake, label, func() { o.coreEvent(core) })
+		c.event = o.Sim.Schedule(wake, label, &o.arms[i])
 	}
 }
 
@@ -196,7 +215,7 @@ func (o *OS) coreEvent(core int) {
 		if t == nil {
 			return // stale event that escaped cancellation
 		}
-		c.event = nil
+		c.event = sim.Handle{}
 		// Completion epsilon must exceed the worst-case event-time rounding
 		// error of 0.5 ns × rate (≈1.2 cycles at 2.4 GHz), or a step can
 		// land just above zero and masquerade as a quantum expiry.
@@ -354,10 +373,8 @@ func (o *OS) undispatch(core int, preempt bool) {
 	if t == nil {
 		panic("hostos: undispatch of idle core")
 	}
-	if c.event != nil {
-		c.event.Cancel()
-		c.event = nil
-	}
+	c.event.Cancel()
+	c.event = sim.Handle{}
 	if preempt {
 		t.preempted++
 	}

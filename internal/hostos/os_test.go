@@ -388,3 +388,33 @@ func TestThreadStringAndStates(t *testing.T) {
 		t.Fatalf("bad final state: %v", th)
 	}
 }
+
+// TestSchedulerSteadyStateAllocFree pins the scheduler's hot path at zero
+// allocations: three looping compute threads on two cores round-robin,
+// step and re-rate the cores thousands of times per simulated second,
+// all on pooled core events and reused rate scratch.
+func TestSchedulerSteadyStateAllocFree(t *testing.T) {
+	s := sim.New()
+	m, err := hw.NewMachine(s, hw.Config{CPU: hw.Core2Duo6600(), Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	o := Boot(m)
+	p := o.NewProcess("loops")
+	mixes := []cost.Mix{{Int: 1}, {Mem: 0.5, Int: 0.5}, {FP: 0.7, Mem: 0.3}}
+	for i, mix := range mixes {
+		prog := &cost.Profile{Name: "loop", Steps: []cost.Step{
+			{Kind: cost.StepCompute, Cycles: 1e6 * float64(i+1), Mix: mix},
+			{Kind: cost.StepCompute, Cycles: 3e5, Mix: cost.Mix{Int: 1}},
+		}}
+		o.Spawn(p, "loop", PrioNormal, cost.Loop(prog))
+	}
+	o.RunFor(sim.Second) // warm the event pool, queue and ready queues
+	fired := s.Fired()
+	if allocs := testing.AllocsPerRun(5, func() { o.RunFor(sim.Second) }); allocs != 0 {
+		t.Fatalf("RunFor(1 s) allocated %v times, want 0", allocs)
+	}
+	if s.Fired()-fired < 1000 {
+		t.Fatalf("only %d events over the measured seconds; the loops are not running", s.Fired()-fired)
+	}
+}

@@ -49,10 +49,17 @@ func (c CPU) Validate() error {
 // while two streaming threads fight. This is a first-order fit to shared
 // L2/FSB behaviour, sufficient for the ratio experiments reproduced here.
 func (c CPU) Rates(memShare []float64) []float64 {
-	if len(memShare) != c.Cores {
-		panic(fmt.Sprintf("hw: Rates got %d shares for %d cores", len(memShare), c.Cores))
-	}
 	rates := make([]float64, c.Cores)
+	c.RatesInto(rates, memShare)
+	return rates
+}
+
+// RatesInto is Rates writing into rates, one entry per core, so a
+// scheduler refreshing rates on every transition allocates nothing.
+func (c CPU) RatesInto(rates, memShare []float64) {
+	if len(memShare) != c.Cores || len(rates) != c.Cores {
+		panic(fmt.Sprintf("hw: Rates got %d shares and %d rates for %d cores", len(memShare), len(rates), c.Cores))
+	}
 	var total float64
 	for _, m := range memShare {
 		if m > 0 {
@@ -71,7 +78,6 @@ func (c CPU) Rates(memShare []float64) []float64 {
 		slow := 1 + c.BusK*m*others
 		rates[i] = c.FreqHz / slow
 	}
-	return rates
 }
 
 // SingleRate is the rate of a thread running alone on the machine.
