@@ -16,7 +16,11 @@ const (
 
 // Multiply computes C = A·B with the linear (non-blocked, non-vectorized)
 // algorithm and tallies its operations: per inner iteration one multiply,
-// one add (2 FP ops), two loads and the accumulator traffic.
+// one add (2 FP ops), two loads and the accumulator traffic. The tally
+// models the paper's i-j-k loop, whose inner loop walks B column-wise.
+// The loop below runs the same products in i-k-j order so it streams
+// rows of B; each element still sums its products in ascending k
+// starting from +0, so the result is bit-identical to the i-j-k loop's.
 func Multiply(a, b []float64, n int) ([]float64, cost.Counts) {
 	if len(a) != n*n || len(b) != n*n {
 		panic(fmt.Sprintf("matrix: operands %d,%d for n=%d", len(a), len(b), n))
@@ -24,12 +28,13 @@ func Multiply(a, b []float64, n int) ([]float64, cost.Counts) {
 	c := make([]float64, n*n)
 	var ops cost.Counts
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			var sum float64
-			for k := 0; k < n; k++ {
-				sum += a[i*n+k] * b[k*n+j]
+		ci := c[i*n : (i+1)*n]
+		for k := 0; k < n; k++ {
+			aik := a[i*n+k]
+			bk := b[k*n : (k+1)*n]
+			for j := range ci {
+				ci[j] += aik * bk[j]
 			}
-			c[i*n+j] = sum
 		}
 		// Tally per row of output to keep the hot loop clean: n² inner
 		// iterations per row batch of n outputs. The inner loop is two

@@ -123,3 +123,42 @@ func TestProfileRepeats(t *testing.T) {
 	}
 	var _ cost.Counts = res.Counts
 }
+
+// multiplyIJK is the paper's i-j-k loop, kept as the reference the
+// row-walking Multiply must match bit for bit.
+func multiplyIJK(a, b []float64, n int) []float64 {
+	c := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			var sum float64
+			for k := 0; k < n; k++ {
+				sum += a[i*n+k] * b[k*n+j]
+			}
+			c[i*n+j] = sum
+		}
+	}
+	return c
+}
+
+func TestMultiplyMatchesIJKExactly(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 33, 64} {
+		a := GenOperand(uint64(100+n), n)
+		b := GenOperand(uint64(200+n), n)
+		got, _ := Multiply(a, b, n)
+		want := multiplyIJK(a, b, n)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d: c[%d] = %v, i-j-k gives %v", n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+func TestChecksumPinned(t *testing.T) {
+	// The value the i-j-k loop produced: a change of loop order must not
+	// move a single bit of Figure 2's verification checksum.
+	const want = 0x407e19b4f85d72f4
+	if got := math.Float64bits(Run(1, 128).Checksum); got != want {
+		t.Fatalf("Run(1,128) checksum bits = %#x, want %#x", got, uint64(want))
+	}
+}

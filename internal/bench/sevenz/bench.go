@@ -89,9 +89,9 @@ func Run(seed uint64, block, passes int) Result {
 }
 
 // Profile captures the benchmark's cost profile for simulator replay: one
-// thread's work for the given passes. The capture runs the real codec once
-// (cached by callers); MIPS under an environment is
-// Result.Instructions() / simulated wall time.
+// thread's work for the given passes. The capture runs the real codec;
+// internal/core memoizes it per process (core.sevenzCapture). MIPS under
+// an environment is Result.Instructions() / simulated wall time.
 func Profile(seed uint64, block, passes int) (*cost.Profile, Result) {
 	res := Run(seed, block, passes)
 	m := cost.NewMeter(fmt.Sprintf("7z-b%d-p%d", block, passes))

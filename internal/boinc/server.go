@@ -1,6 +1,6 @@
 package boinc
 
-import "sort"
+import "slices"
 
 // Project is a BOINC-style project server: it generates work units,
 // hands out replicas to volunteers, and validates returned results by
@@ -27,6 +27,11 @@ type Project struct {
 	reports map[string]map[string]int
 	// canonical[unitID] holds the quorum-validated result.
 	canonical map[string]int
+	// short lists, sorted by ID string, the units with no canonical
+	// result and fewer replicas in flight than Replication minus their
+	// best agreement — the only units RequestWork can top up. reindex
+	// keeps it current after every change to a unit's ledger.
+	short []string
 	// invalid counts reports that disagreed with an established quorum.
 	invalid int
 }
@@ -116,31 +121,9 @@ func (p *Project) unitFor(i int) WorkUnit {
 // short of its replication target that this volunteer does not already
 // hold, otherwise a fresh unit.
 func (p *Project) RequestWork(volunteer string) WorkUnit {
-	// Prefer topping up under-replicated units (deterministic order).
-	ids := make([]string, 0, len(p.assignments))
-	for id := range p.assignments {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	// Prefer topping up under-replicated units, in ID order.
+	for _, id := range p.short {
 		holders := p.assignments[id]
-		if _, done := p.canonical[id]; done {
-			continue
-		}
-		// A unit needs enough further agreeing reports to reach quorum
-		// beyond its best current agreement; replicas in flight count
-		// toward that. A 1–1 split therefore re-issues a tie-breaker.
-		best := 0
-		tally := map[int]int{}
-		for _, v := range p.reports[id] {
-			tally[v]++
-			if tally[v] > best {
-				best = tally[v]
-			}
-		}
-		if len(holders) >= p.Replication-best {
-			continue
-		}
 		if containsString(holders, volunteer) {
 			continue
 		}
@@ -148,6 +131,7 @@ func (p *Project) RequestWork(volunteer string) WorkUnit {
 			continue
 		}
 		p.assignments[id] = append(holders, volunteer)
+		p.reindex(id)
 		return p.unitFor(p.unitIdx[id])
 	}
 	// Fresh unit.
@@ -156,7 +140,49 @@ func (p *Project) RequestWork(volunteer string) WorkUnit {
 	id := p.unitID(i)
 	p.assignments[id] = []string{volunteer}
 	p.unitIdx[id] = i
+	p.reindex(id)
 	return p.unitFor(i)
+}
+
+// needsReplica reports whether a unit belongs in short. A unit needs
+// enough further agreeing reports to reach quorum beyond its best
+// current agreement; replicas in flight count toward that. A 1–1 split
+// therefore re-issues a tie-breaker.
+func (p *Project) needsReplica(id string) bool {
+	if _, done := p.canonical[id]; done {
+		return false
+	}
+	return len(p.assignments[id]) < p.Replication-bestAgreement(p.reports[id])
+}
+
+// bestAgreement is the size of the largest group of equal reports.
+// Units carry a handful of reports, so the quadratic count beats
+// allocating a tally.
+func bestAgreement(reports map[string]int) int {
+	best := 0
+	for _, v := range reports {
+		n := 0
+		for _, w := range reports {
+			if w == v {
+				n++
+			}
+		}
+		best = max(best, n)
+	}
+	return best
+}
+
+// reindex recomputes a unit's membership in short. Keeping string
+// order (rather than mint order) matters once IDs widen past six
+// digits: "…-wu-1000000" sorts before "…-wu-100001".
+func (p *Project) reindex(id string) {
+	i, in := slices.BinarySearch(p.short, id)
+	switch want := p.needsReplica(id); {
+	case want && !in:
+		p.short = slices.Insert(p.short, i, id)
+	case !want && in:
+		p.short = slices.Delete(p.short, i, i+1)
+	}
 }
 
 // TrueResult computes the ground-truth peak bin for a unit — what an
@@ -168,7 +194,12 @@ func TrueResult(wu WorkUnit) int {
 
 // SubmitResult records a volunteer's returned peak bin and runs quorum
 // validation. It reports whether the unit now has a canonical result.
+// A report for a unit the project never minted is ignored.
 func (p *Project) SubmitResult(volunteer, unitID string, peakBin int) (validated bool) {
+	if _, minted := p.unitIdx[unitID]; !minted {
+		return false
+	}
+	defer p.reindex(unitID)
 	if p.reports[unitID] == nil {
 		p.reports[unitID] = map[string]int{}
 	}

@@ -31,3 +31,12 @@ func benchRunShard(b *testing.B, scn Scenario) {
 
 func BenchmarkRunShardSteady(b *testing.B) { benchRunShard(b, benchScn(false)) }
 func BenchmarkRunShardChurn(b *testing.B)  { benchRunShard(b, benchScn(true)) }
+
+// BenchmarkRunShardReplication is the churn shard under 2-way quorum
+// replication with a tenth of the hosts faulty, the shape that drives
+// boinc.Project's top-up scan.
+func BenchmarkRunShardReplication(b *testing.B) {
+	scn := benchScn(true)
+	scn.Policy, scn.Replication, scn.FaultyFrac = "replication", 2, 0.1
+	benchRunShard(b, scn.Normalize())
+}
